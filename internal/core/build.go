@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bloom"
 	"repro/internal/hashfam"
-	"repro/internal/membership"
 )
 
 // BuildTree constructs the full BloomSampleTree of Definition 5.1: every
@@ -82,7 +81,7 @@ func (t *Tree) buildFull(lo, hi uint64, depth int) *node {
 		for x := lo; x < hi; x++ {
 			buf = f.AddScratch(x, buf)
 		}
-		n.setFilter(membership.FromBloom(f))
+		n.setFilter(f)
 		return n
 	}
 	mid := split(lo, hi)
@@ -90,11 +89,11 @@ func (t *Tree) buildFull(lo, hi uint64, depth int) *node {
 	right := t.buildFull(mid, hi, depth-1)
 	n.left.Store(left)
 	n.right.Store(right)
-	f, err := left.filter().QueryView().Union(right.filter().QueryView())
+	f, err := left.filter().Union(right.filter())
 	if err != nil {
 		panic("core: sibling filters incompatible: " + err.Error()) // unreachable
 	}
-	n.setFilter(membership.FromBloom(f))
+	n.setFilter(f)
 	return n
 }
 
@@ -106,7 +105,7 @@ func (t *Tree) buildFull(lo, hi uint64, depth int) *node {
 func (t *Tree) buildSubtree(lo, hi uint64, depth int, ids []uint64) (*node, uint64) {
 	n := newNode(lo, hi, nil)
 	if depth == 0 || hi-lo <= 1 {
-		n.setFilter(membership.FromBloom(bloom.NewFromElements(t.fam, ids)))
+		n.setFilter(bloom.NewFromElements(t.fam, ids))
 		return n, 1
 	}
 	mid := split(lo, hi)
@@ -117,25 +116,25 @@ func (t *Tree) buildSubtree(lo, hi uint64, depth int, ids []uint64) (*node, uint
 		child, c := t.buildSubtree(lo, mid, depth-1, ids[:cut])
 		n.left.Store(child)
 		count += c
-		lf = child.filter().QueryView()
+		lf = child.filter()
 	}
 	if cut < len(ids) {
 		child, c := t.buildSubtree(mid, hi, depth-1, ids[cut:])
 		n.right.Store(child)
 		count += c
-		rf = child.filter().QueryView()
+		rf = child.filter()
 	}
 	switch {
 	case lf == nil:
-		n.setFilter(membership.FromBloom(rf.Clone()))
+		n.setFilter(rf.Clone())
 	case rf == nil:
-		n.setFilter(membership.FromBloom(lf.Clone()))
+		n.setFilter(lf.Clone())
 	default:
 		f, err := lf.Union(rf)
 		if err != nil {
 			panic("core: sibling filters incompatible: " + err.Error()) // unreachable
 		}
-		n.setFilter(membership.FromBloom(f))
+		n.setFilter(f)
 	}
 	return n, count
 }
@@ -233,7 +232,7 @@ func (t *Tree) growRoot(ids []uint64) {
 func (t *Tree) growNode(n *node, depth int, ids []uint64) {
 	for {
 		old := n.f.Load()
-		if n.f.CompareAndSwap(old, &boxedFilter{old.m.CloneAdd(ids...)}) {
+		if n.f.CompareAndSwap(old, &nodeFilter{f: old.f.CloneAdd(ids...)}) {
 			break
 		}
 		// CAS failure: a writer of another stripe updated this shared

@@ -11,7 +11,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/bloom"
 	"repro/internal/hashfam"
-	"repro/internal/membership"
 )
 
 // Binary encoding of a Tree. Building a BloomSampleTree costs one hash
@@ -73,7 +72,7 @@ func writeNode(w *bufio.Writer, n *node) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	bits, err := n.filter().QueryView().Bits().MarshalBinary()
+	bits, err := n.filter().Bits().MarshalBinary()
 	if err != nil {
 		return err
 	}
@@ -187,7 +186,7 @@ func readNode(r *bufio.Reader, t *Tree) (*node, uint64, error) {
 	if bits.Len() != t.cfg.Bits {
 		return nil, 0, fmt.Errorf("core: node filter has %d bits, tree expects %d", bits.Len(), t.cfg.Bits)
 	}
-	n.setFilter(membership.FromBloom(bloom.NewFromBits(t.fam, &bits)))
+	n.setFilter(bloom.NewFromBits(t.fam, &bits))
 	mask, err := r.ReadByte()
 	if err != nil {
 		return nil, 0, err

@@ -32,7 +32,7 @@ func (t *Tree) SampleN(q *bloom.Filter, r int, withReplacement bool, rng *rand.R
 	if !withReplacement {
 		st.exclude = make(map[uint64]bool)
 	}
-	return t.multiNode(root, q, r, st, rng, ops), nil
+	return t.multiNode(root, q, q.SetBits(), r, st, rng, ops), nil
 }
 
 // multiState carries per-call bookkeeping for SampleN. exclude (nil in
@@ -45,8 +45,9 @@ type multiState struct {
 	drained map[*node]bool
 }
 
-// multiNode routes r paths through n and returns the samples produced.
-func (t *Tree) multiNode(n *node, q *bloom.Filter, r int, st *multiState, rng *rand.Rand, ops *Ops) []uint64 {
+// multiNode routes r paths through n and returns the samples produced;
+// qOnes is the query's set-bit count, counted once per call of SampleN.
+func (t *Tree) multiNode(n *node, q *bloom.Filter, qOnes uint64, r int, st *multiState, rng *rand.Rand, ops *Ops) []uint64 {
 	if st.drained[n] {
 		return nil
 	}
@@ -62,8 +63,8 @@ func (t *Tree) multiNode(n *node, q *bloom.Filter, r int, st *multiState, rng *r
 		return out
 	}
 
-	lEst := t.childEstimate(left, q, ops)
-	rEst := t.childEstimate(right, q, ops)
+	lEst := t.childEstimate(left, q, qOnes, ops)
+	rEst := t.childEstimate(right, q, qOnes, ops)
 	thr := t.cfg.EmptyThreshold
 	lOK, rOK := lEst >= thr, rEst >= thr
 
@@ -73,9 +74,9 @@ func (t *Tree) multiNode(n *node, q *bloom.Filter, r int, st *multiState, rng *r
 		st.drained[n] = true
 		return nil
 	case lOK && !rOK:
-		out = t.multiNode(left, q, r, st, rng, ops)
+		out = t.multiNode(left, q, qOnes, r, st, rng, ops)
 	case !lOK && rOK:
-		out = t.multiNode(right, q, r, st, rng, ops)
+		out = t.multiNode(right, q, qOnes, r, st, rng, ops)
 	default:
 		// Split the r paths between the children with independent biased
 		// coins, exactly as r separate BSTSample runs would (§5.3), so the
@@ -88,10 +89,10 @@ func (t *Tree) multiNode(n *node, q *bloom.Filter, r int, st *multiState, rng *r
 			}
 		}
 		if toLeft > 0 {
-			out = append(out, t.multiNode(left, q, toLeft, st, rng, ops)...)
+			out = append(out, t.multiNode(left, q, qOnes, toLeft, st, rng, ops)...)
 		}
 		if r-toLeft > 0 {
-			out = append(out, t.multiNode(right, q, r-toLeft, st, rng, ops)...)
+			out = append(out, t.multiNode(right, q, qOnes, r-toLeft, st, rng, ops)...)
 		}
 		// Reroute unsatisfied paths into the sibling (backtracking), as
 		// BSTSample does for a single path; drained marks prevent
@@ -104,9 +105,9 @@ func (t *Tree) multiNode(n *node, q *bloom.Filter, r int, st *multiState, rng *r
 			if rEst > lEst {
 				firstChild, secondChild = right, left
 			}
-			out = append(out, t.multiNode(firstChild, q, deficit, st, rng, ops)...)
+			out = append(out, t.multiNode(firstChild, q, qOnes, deficit, st, rng, ops)...)
 			if deficit = r - len(out); deficit > 0 {
-				out = append(out, t.multiNode(secondChild, q, deficit, st, rng, ops)...)
+				out = append(out, t.multiNode(secondChild, q, qOnes, deficit, st, rng, ops)...)
 			}
 			if len(out) > r {
 				out = out[:r]

@@ -81,11 +81,11 @@ func BuildTreeParallel(cfg Config, workers int) (*Tree, error) {
 				continue
 			}
 			l, r := level[i], level[i+1]
-			f, err := l.filter().QueryView().Union(r.filter().QueryView())
+			f, err := l.filter().Union(r.filter())
 			if err != nil {
 				return nil, err
 			}
-			parent := newNodeBloom(l.lo, r.hi, f)
+			parent := newNode(l.lo, r.hi, f)
 			parent.left.Store(l)
 			parent.right.Store(r)
 			t.nodes.Add(1)
@@ -141,7 +141,7 @@ func (t *Tree) ComputeStats() Stats {
 		for len(levels) <= depth {
 			levels = append(levels, lv{min: 2})
 		}
-		fill := n.filter().QueryView().FillRatio()
+		fill := n.filter().FillRatio()
 		l := &levels[depth]
 		l.sum += fill
 		l.n++

@@ -101,8 +101,9 @@ func leafRangeAtDepth(M uint64, depth int) uint64 {
 type CostEstimate struct {
 	// Membership is the cost of one membership query (k hashes + probes).
 	Membership time.Duration
-	// Intersection is the cost of one intersection-size estimation over
-	// two m-bit filters.
+	// Intersection is the cost of one intersection-size estimation as a
+	// tree descent pays it: one AndCount pass over two m-bit filters,
+	// with the node's and the query's set-bit counts already known.
 	Intersection time.Duration
 }
 
@@ -140,11 +141,16 @@ func CalibrateCosts(kind hashfam.Kind, m uint64, k int, iters int) (CostEstimate
 	}
 	mcost := time.Since(start) / time.Duration(iters)
 
+	// Time the per-child estimate a descent runs, so §5.4's ratio is what
+	// the tree pays: node count cached, query counted once.
+	nd := newNode(0, 1, a)
+	bOnes := b.SetBits()
 	interIters := iters/20 + 1
 	var fsink float64
 	start = time.Now()
 	for i := 0; i < interIters; i++ {
-		fsink += bloom.EstimateIntersectionOf(a, b)
+		est, _, _ := nd.estimate(b, bOnes)
+		fsink += est
 	}
 	icost := time.Since(start) / time.Duration(interIters)
 	_ = sink

@@ -45,11 +45,13 @@ func (t *Tree) Reconstruct(q *bloom.Filter, rule PruneRule, ops *Ops) ([]uint64,
 	// threaded through the whole traversal, so every surviving leaf scan
 	// reuses it instead of allocating.
 	scratch := make([]uint64, 0, leafProbeBatch*(q.K()+1))
-	out, _ := t.reconstructNode(root, q, rule, ops, nil, scratch)
+	out, _ := t.reconstructNode(root, q, q.SetBits(), rule, ops, nil, scratch)
 	return out, nil
 }
 
-func (t *Tree) reconstructNode(n *node, q *bloom.Filter, rule PruneRule, ops *Ops, out, scratch []uint64) ([]uint64, []uint64) {
+// reconstructNode collects the positives of the subtree at n; qOnes is
+// the query's set-bit count, counted once per call of Reconstruct.
+func (t *Tree) reconstructNode(n *node, q *bloom.Filter, qOnes uint64, rule PruneRule, ops *Ops, out, scratch []uint64) ([]uint64, []uint64) {
 	if ops != nil {
 		ops.NodesVisited++
 	}
@@ -57,22 +59,23 @@ func (t *Tree) reconstructNode(n *node, q *bloom.Filter, rule PruneRule, ops *Op
 	if left == nil && right == nil {
 		return t.positivesInLeaf(n, q, ops, out, scratch)
 	}
-	if left != nil && t.childAlive(left, q, rule, ops) {
-		out, scratch = t.reconstructNode(left, q, rule, ops, out, scratch)
+	if left != nil && t.childAlive(left, q, qOnes, rule, ops) {
+		out, scratch = t.reconstructNode(left, q, qOnes, rule, ops, out, scratch)
 	}
-	if right != nil && t.childAlive(right, q, rule, ops) {
-		out, scratch = t.reconstructNode(right, q, rule, ops, out, scratch)
+	if right != nil && t.childAlive(right, q, qOnes, rule, ops) {
+		out, scratch = t.reconstructNode(right, q, qOnes, rule, ops, out, scratch)
 	}
 	return out, scratch
 }
 
 // childAlive applies the prune rule to one child.
-func (t *Tree) childAlive(child *node, q *bloom.Filter, rule PruneRule, ops *Ops) bool {
+func (t *Tree) childAlive(child *node, q *bloom.Filter, qOnes uint64, rule PruneRule, ops *Ops) bool {
 	if ops != nil {
 		ops.Intersections++
 	}
 	if rule == PruneByAndBits {
 		return child.filter().IntersectsAny(q)
 	}
-	return child.filter().IntersectionEstimate(q) >= t.cfg.EmptyThreshold
+	est, _, _ := child.estimate(q, qOnes)
+	return est >= t.cfg.EmptyThreshold
 }

@@ -48,7 +48,7 @@ func (t *Tree) SampleScratch(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch 
 	if root == nil { // empty pruned tree
 		return 0, scratch, ErrNoSample
 	}
-	x, ok, scratch := t.sampleNode(root, q, rng, ops, scratch)
+	x, ok, scratch := t.sampleNode(root, q, q.SetBits(), rng, ops, scratch)
 	if !ok {
 		return 0, scratch, ErrNoSample
 	}
@@ -58,8 +58,9 @@ func (t *Tree) SampleScratch(q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch 
 // sampleNode implements one recursive step of BSTSample. Child pointers
 // and filters are loaded once per visit, so a step races a concurrent
 // growth publish only by seeing either the old or the new version. The
-// scratch buffer is threaded through the recursion and returned grown.
-func (t *Tree) sampleNode(n *node, q *bloom.Filter, rng *rand.Rand, ops *Ops, scratch []uint64) (uint64, bool, []uint64) {
+// query's set-bit count qOnes and the scratch buffer are threaded through
+// the recursion; the buffer is returned grown.
+func (t *Tree) sampleNode(n *node, q *bloom.Filter, qOnes uint64, rng *rand.Rand, ops *Ops, scratch []uint64) (uint64, bool, []uint64) {
 	if ops != nil {
 		ops.NodesVisited++
 	}
@@ -68,8 +69,8 @@ func (t *Tree) sampleNode(n *node, q *bloom.Filter, rng *rand.Rand, ops *Ops, sc
 		return t.sampleLeaf(n, q, rng, ops, scratch)
 	}
 
-	lEst := t.childEstimate(left, q, ops)
-	rEst := t.childEstimate(right, q, ops)
+	lEst := t.childEstimate(left, q, qOnes, ops)
+	rEst := t.childEstimate(right, q, qOnes, ops)
 	thr := t.cfg.EmptyThreshold
 	lOK, rOK := lEst >= thr, rEst >= thr
 
@@ -90,7 +91,7 @@ func (t *Tree) sampleNode(n *node, q *bloom.Filter, rng *rand.Rand, ops *Ops, sc
 	if p := lEst / (lEst + rEst); rng.Float64() >= p {
 		first, second = right, left
 	}
-	x, ok, scratch := t.sampleNode(first, q, rng, ops, scratch)
+	x, ok, scratch := t.sampleNode(first, q, qOnes, rng, ops, scratch)
 	if ok {
 		return x, true, scratch
 	}
@@ -100,19 +101,20 @@ func (t *Tree) sampleNode(n *node, q *bloom.Filter, rng *rand.Rand, ops *Ops, sc
 	if second == nil { // pruned tree: missing sibling
 		return 0, false, scratch
 	}
-	return t.sampleNode(second, q, rng, ops, scratch)
+	return t.sampleNode(second, q, qOnes, rng, ops, scratch)
 }
 
 // childEstimate returns the estimated intersection size of a child filter
 // with the query, treating missing (pruned) children as empty.
-func (t *Tree) childEstimate(child *node, q *bloom.Filter, ops *Ops) float64 {
+func (t *Tree) childEstimate(child *node, q *bloom.Filter, qOnes uint64, ops *Ops) float64 {
 	if child == nil {
 		return 0
 	}
 	if ops != nil {
 		ops.Intersections++
 	}
-	return child.filter().IntersectionEstimate(q)
+	est, _, _ := child.estimate(q, qOnes)
+	return est
 }
 
 // sampleLeaf brute-force checks the leaf's range against q and picks one

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/bloom"
 	"repro/internal/hashfam"
-	"repro/internal/membership"
 )
 
 // DefaultEmptyThreshold is the default estimated-intersection size below
@@ -90,46 +89,66 @@ func (c *Config) withDefaults() Config {
 // hi never change after the node is created.
 type node struct {
 	lo, hi      uint64
-	f           atomic.Pointer[boxedFilter]
+	f           atomic.Pointer[nodeFilter]
 	left, right atomic.Pointer[node]
 }
 
-// boxedFilter boxes a Membership interface value behind a concrete
-// pointer: atomic.Pointer cannot hold interfaces directly, and boxing
-// happens only on publish (rare) while reads pay one extra dereference.
-type boxedFilter struct {
-	m membership.Membership
+// nodeFilter is one published version of a node's Bloom filter. The
+// filter never changes once published, so its set-bit count is a
+// property of the version. It is counted on the first estimate against
+// the version, not at publish: growth republishes every spine node on
+// every insert batch, and counting there would add a pass to each write.
+type nodeFilter struct {
+	f *bloom.Filter
+	// ones is the filter's set-bit count plus one; 0 means not yet
+	// counted. Racing first readers store the same value.
+	ones atomic.Uint64
 }
 
 // newNode returns a node over [lo, hi) holding f (which may be nil during
 // private subtree construction).
-func newNode(lo, hi uint64, f membership.Membership) *node {
+func newNode(lo, hi uint64, f *bloom.Filter) *node {
 	n := &node{lo: lo, hi: hi}
 	if f != nil {
-		n.f.Store(&boxedFilter{f})
+		n.setFilter(f)
 	}
 	return n
 }
 
-// newNodeBloom wraps a plain Bloom filter — what tree construction
-// produces natively — as a node.
-func newNodeBloom(lo, hi uint64, f *bloom.Filter) *node {
-	if f == nil {
-		return newNode(lo, hi, nil)
-	}
-	return newNode(lo, hi, membership.FromBloom(f))
-}
-
-// filter returns the node's current (immutable) membership value.
-func (n *node) filter() membership.Membership {
-	if b := n.f.Load(); b != nil {
-		return b.m
+// filter returns the node's current (immutable) Bloom filter.
+func (n *node) filter() *bloom.Filter {
+	if v := n.f.Load(); v != nil {
+		return v.f
 	}
 	return nil
 }
 
-// setFilter publishes a new membership value for the node.
-func (n *node) setFilter(m membership.Membership) { n.f.Store(&boxedFilter{m}) }
+// setFilter publishes a new filter version for the node.
+func (n *node) setFilter(f *bloom.Filter) { n.f.Store(&nodeFilter{f: f}) }
+
+// setBits returns the version's set-bit count, counting it on first use.
+func (v *nodeFilter) setBits() uint64 {
+	if c := v.ones.Load(); c != 0 {
+		return c - 1
+	}
+	c := v.f.SetBits()
+	v.ones.Store(c + 1)
+	return c
+}
+
+// estimate returns the §5.3 estimate Ŝ⁻¹ of the intersection of the
+// node's current filter with q, whose set-bit count qOnes the caller
+// counted once for the whole descent. With the node's count cached this
+// is one AndCount pass, and the value is bit-identical to
+// bloom.EstimateIntersectionOf(n.filter(), q). The node's set-bit count
+// and the AND count are returned too, for callers that post-process the
+// estimate from its inputs.
+func (n *node) estimate(q *bloom.Filter, qOnes uint64) (est float64, ones, tand uint64) {
+	v := n.f.Load()
+	ones = v.setBits()
+	tand = v.f.IntersectionSetBits(q)
+	return bloom.EstimateIntersection(v.f.M(), v.f.K(), ones, qOnes, tand), ones, tand
+}
 
 // children loads both child pointers once; traversals load them into
 // locals so one visit sees one consistent pair (a node with neither

@@ -203,11 +203,12 @@ func (s *UniformSampler) SampleN(r int, rng *rand.Rand, ops *Ops) ([]uint64, err
 }
 
 // descend performs one proposal walk and the acceptance test. The query
-// filter, estimate and safety factor are loaded once per attempt so the
-// walk is internally consistent even while another goroutine retargets or
-// recalibrates.
+// filter, estimate and safety factor are loaded, and the query's set bits
+// counted, once per attempt so the walk is internally consistent even
+// while another goroutine retargets or recalibrates.
 func (s *UniformSampler) descend(rng *rand.Rand, ops *Ops) (uint64, bool) {
 	q := s.q.Load()
+	qOnes := q.SetBits()
 	nHat := math.Float64frombits(s.nHatBits.Load())
 	safety := math.Float64frombits(s.safetyBits.Load())
 	n := s.t.rootNode()
@@ -220,8 +221,8 @@ func (s *UniformSampler) descend(rng *rand.Rand, ops *Ops) (uint64, bool) {
 		if ops != nil {
 			ops.NodesVisited++
 		}
-		wl := s.childWeight(left, q, nHat, ops)
-		wr := s.childWeight(right, q, nHat, ops)
+		wl := s.childWeight(left, q, qOnes, nHat, ops)
+		wr := s.childWeight(right, q, qOnes, nHat, ops)
 		if wl == 0 && wr == 0 {
 			return 0, false // pruned-tree dead end (both children missing)
 		}
@@ -280,21 +281,15 @@ func (s *UniformSampler) descend(rng *rand.Rand, ops *Ops) (uint64, bool) {
 
 // childWeight is the proposal weight of a child: the estimated
 // intersection size plus the uniform-mixture share β·n̂·(range/M), or 0
-// for a missing child.
-func (s *UniformSampler) childWeight(child *node, q *bloom.Filter, nHat float64, ops *Ops) float64 {
+// for a missing child. qOnes is the query's set-bit count.
+func (s *UniformSampler) childWeight(child *node, q *bloom.Filter, qOnes uint64, nHat float64, ops *Ops) float64 {
 	if child == nil {
 		return 0
 	}
 	if ops != nil {
 		ops.Intersections++
 	}
-	cf := child.filter().QueryView()
-	m := cf.M()
-	k := cf.K()
-	t1 := cf.SetBits()
-	t2 := q.SetBits()
-	tand := cf.IntersectionSetBits(q)
-	est := bloom.EstimateIntersection(m, k, t1, t2, tand)
+	est, t1, tand := child.estimate(q, qOnes)
 	if est < 0 || math.IsNaN(est) {
 		est = 0
 	}
@@ -308,12 +303,13 @@ func (s *UniformSampler) childWeight(child *node, q *bloom.Filter, nHat float64,
 	// chases noise and the acceptance probabilities spread over orders of
 	// magnitude (heavy clamping).
 	if est > 0 && est < nHat {
-		sigmaBits := 1.5 * math.Sqrt(float64(t1)*float64(t2)/float64(m))
+		m := q.M()
+		sigmaBits := 1.5 * math.Sqrt(float64(t1)*float64(qOnes)/float64(m))
 		lo := tand - uint64(sigmaBits)
 		if sigmaBits >= float64(tand) {
 			lo = 0
 		}
-		estLo := bloom.EstimateIntersection(m, k, t1, t2, lo)
+		estLo := bloom.EstimateIntersection(m, q.K(), t1, qOnes, lo)
 		if math.IsNaN(estLo) || math.IsInf(estLo, 0) || estLo < 0 {
 			estLo = 0
 		}
